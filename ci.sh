@@ -107,6 +107,20 @@ NRSLB_E19_ASSERT=1 NRSLB_SCALE=12 NRSLB_JSON="$(mktemp)" \
 echo "==> Shamir field-axiom + roundtrip proptests"
 cargo test -p nrslb-crypto --test shamir_field --test shamir_roundtrip -q
 
+echo "==> SHA-256 kernel parity + HBS/Merkle known-answer tests"
+# SHA-256 compression is picked at run time: the x86_64 SHA-extension
+# kernel when the CPU has it, the scalar code otherwise. The parity tests
+# run every input through each arm this host has and print a line when
+# the accelerated arm is skipped; the known-answer tests pin HBS keys and
+# signatures, the PRF and Merkle proofs to values from the scalar code.
+if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then
+    echo "host CPU has SHA extensions (sha_ni): both kernels tested"
+else
+    echo "host CPU has no SHA extensions: scalar kernel only"
+fi
+cargo test -p nrslb-crypto --lib -q sha256:: -- --nocapture
+cargo test -p nrslb-crypto --test golden_vectors -q
+
 echo "==> quorum adversarial + wire proptests"
 cargo test -p nrslb-rsf --test quorum_adversarial --test proptest_quorum_wire -q
 

@@ -9,6 +9,14 @@ const BLOCK: usize = 64;
 
 /// Compute `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+    hmac(key, |inner| {
+        inner.update(message);
+    })
+}
+
+/// HMAC-SHA256 over the message `write_message` streams into the inner
+/// hasher, so callers with a message in several pieces need not join it.
+fn hmac(key: &[u8], write_message: impl FnOnce(&mut Sha256)) -> Digest {
     let mut key_block = [0u8; BLOCK];
     if key.len() > BLOCK {
         key_block[..32].copy_from_slice(sha256(key).as_bytes());
@@ -22,7 +30,8 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
         opad[i] ^= key_block[i];
     }
     let mut inner = Sha256::new();
-    inner.update(ipad).update(message);
+    inner.update(ipad);
+    write_message(&mut inner);
     let inner = inner.finalize();
     let mut outer = Sha256::new();
     outer.update(opad).update(inner.as_bytes());
@@ -34,13 +43,12 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
 /// Deterministically derives subkeys; every distinct sequence of `parts`
 /// yields an independent 32-byte value.
 pub fn prf(key: &[u8], parts: &[&[u8]]) -> Digest {
-    let mut msg = Vec::new();
-    for p in parts {
-        // Length-prefix each part so (a,bc) and (ab,c) differ.
-        msg.extend_from_slice(&(p.len() as u32).to_be_bytes());
-        msg.extend_from_slice(p);
-    }
-    hmac_sha256(key, &msg)
+    hmac(key, |inner| {
+        for p in parts {
+            // Length-prefix each part so (a,bc) and (ab,c) differ.
+            inner.update((p.len() as u32).to_be_bytes()).update(p);
+        }
+    })
 }
 
 #[cfg(test)]

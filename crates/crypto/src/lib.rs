@@ -4,7 +4,9 @@
 //!
 //! * [`mod@sha256`] — SHA-256 per FIPS 180-4, the hash used for certificate
 //!   fingerprints (the paper attaches GCCs to roots by SHA-256 hash),
-//!   Merkle trees and signatures.
+//!   Merkle trees and signatures. The compression function is selected
+//!   at run time: the x86_64 SHA-extension kernel when the CPU has it,
+//!   the portable scalar code otherwise, with identical digests.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), used as the PRF inside the
 //!   hash-based signature scheme.
 //! * [`merkle`] — an RFC 6962-style Merkle tree with inclusion and
@@ -20,7 +22,11 @@
 //!   substrate for the k-of-n coordinating-body quorum in `nrslb-rsf`.
 //! * [`hex`] / [`base64`] — encodings for fingerprints and PEM armor.
 //!
-//! All types are `Send + Sync` and the crate performs no I/O.
+//! All types are `Send + Sync` and the crate performs no I/O. Its only
+//! `unsafe` code is the SHA-extension kernel, in a private module of
+//! [`mod@sha256`]: the kernel is reachable only through a run-time CPU
+//! feature check, and its only pointer reads are four 16-byte loads
+//! inside each 64-byte block.
 
 #![warn(missing_docs)]
 

@@ -1,10 +1,21 @@
 //! SHA-256 per FIPS 180-4.
 //!
-//! A straightforward, dependency-free implementation with an incremental
-//! [`Sha256`] hasher and a one-shot [`sha256`] convenience function.
-//! Verified against the standard NIST test vectors in the unit tests.
+//! A dependency-free implementation with an incremental [`Sha256`]
+//! hasher and a one-shot [`sha256`] convenience function. Verified
+//! against the standard NIST test vectors in the unit tests.
+//!
+//! The compression function is chosen at run time, once per hasher:
+//! on an x86_64 CPU with the SHA extensions it is the hardware kernel in
+//! the private `x86` module (the crate's only `unsafe` code; that
+//! module's documentation gives its safety argument), and everywhere
+//! else it is the portable scalar code below. Both produce the same
+//! digests; the unit tests run every input through each of them. There
+//! is no option to pick one: the CPU decides.
 
 use crate::hex;
+
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 /// A 32-byte SHA-256 digest.
 ///
@@ -77,6 +88,19 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// A compression function: absorb each whole 64-byte block of the
+/// slice into the state, in order.
+type CompressFn = fn(&mut [u32; 8], &[u8]);
+
+/// The fastest compression function this CPU supports.
+fn select_compress() -> CompressFn {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(hardware) = x86::detect() {
+        return hardware;
+    }
+    compress_scalar
+}
+
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -86,6 +110,7 @@ pub struct Sha256 {
     buf_len: usize,
     /// Total message length in bytes.
     total_len: u64,
+    compress: CompressFn,
 }
 
 impl Default for Sha256 {
@@ -102,35 +127,33 @@ impl Sha256 {
             buf: [0u8; 64],
             buf_len: 0,
             total_len: 0,
+            compress: select_compress(),
         }
     }
 
-    /// Absorb `data` into the hash state.
+    /// Absorb `data` into the hash state. Whole blocks go to the
+    /// compression function in one call, without passing through the
+    /// buffer.
     pub fn update(&mut self, data: impl AsRef<[u8]>) -> &mut Self {
         let mut data = data.as_ref();
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return self;
             }
+            (self.compress)(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            (self.compress)(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
         self
     }
 
@@ -155,8 +178,13 @@ impl Sha256 {
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable FIPS 180-4 compression function: the only one on CPUs
+/// without SHA extensions, and the reference the hardware kernel is
+/// tested against.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -169,7 +197,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -190,14 +218,9 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(v);
+        }
     }
 }
 
@@ -223,43 +246,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nist_empty() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-    }
-
-    #[test]
-    fn nist_abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-    }
-
-    #[test]
-    fn nist_448_bits() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
     fn quick_brown_fox() {
         assert_eq!(
             sha256(b"The quick brown fox jumps over the lazy dog").to_hex(),
             "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592"
-        );
-    }
-
-    #[test]
-    fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }
 
@@ -280,6 +270,98 @@ mod tests {
         assert_eq!(Digest::from_hex(&d.to_hex()).unwrap(), d);
         assert!(Digest::from_hex("zz").is_err());
         assert!(Digest::from_hex("aabb").is_err());
+    }
+
+    /// Every compression function this CPU can run: the scalar arm
+    /// always, the SHA-extension arm when the CPU has it. A host without
+    /// the extension says so rather than passing the parity tests on one
+    /// arm silently.
+    fn kernels() -> Vec<(&'static str, CompressFn)> {
+        let mut arms = vec![("scalar", compress_scalar as CompressFn)];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hardware) = x86::detect() {
+            arms.push(("sha-ni", hardware));
+        }
+        if arms.len() == 1 {
+            println!("sha256 kernels: this CPU has no SHA extensions; accelerated arm skipped");
+        }
+        arms
+    }
+
+    fn hash_with(compress: CompressFn, parts: &[&[u8]]) -> Digest {
+        let mut h = Sha256 {
+            compress,
+            ..Sha256::new()
+        };
+        for p in parts {
+            h.update(p);
+        }
+        h.finalize()
+    }
+
+    #[test]
+    fn nist_vectors_on_every_kernel() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 5] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (name, compress) in kernels() {
+            for (msg, want) in &vectors {
+                assert_eq!(
+                    hash_with(compress, &[msg]).to_hex(),
+                    *want,
+                    "{name}, {} bytes",
+                    msg.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_every_length_and_split() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x5a_256);
+        let mut data = vec![0u8; 64 * 1024];
+        rng.fill(&mut data);
+        let lengths = (0..=300).chain((0..64).map(|_| rng.gen_range(301..data.len() + 1)));
+        let arms = kernels();
+        for len in lengths {
+            let msg = &data[..len];
+            let reference = hash_with(compress_scalar, &[msg]);
+            for (name, compress) in &arms {
+                for split in [0, 1, 55, 56, 63, 64, 65] {
+                    if split > len {
+                        continue;
+                    }
+                    let (head, tail) = msg.split_at(split);
+                    assert_eq!(
+                        hash_with(*compress, &[head, tail]),
+                        reference,
+                        "{name}, length {len}, split at {split}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct FeedPublisher {
     published_store: RootStore,
     sequence: u64,
     /// Signed deltas, indexed by `to_sequence` (log[i].to = base + i + 1).
-    deltas: Vec<SignedMessage>,
+    deltas: Vec<LoggedDelta>,
     /// The most recent full snapshot (always available for bootstrap).
     snapshot: SignedMessage,
     snapshot_sequence: u64,
@@ -41,6 +41,16 @@ pub struct FeedPublisher {
     /// Retained forever and served on every fetch — subscribers apply
     /// them idempotently, so redelivery is free.
     rotations: Vec<RotationEvent>,
+}
+
+/// A retained signed delta with the sequence range its payload covers,
+/// recorded at publish time so [`FeedPublisher::fetch`] and
+/// [`FeedPublisher::prune`] filter on two integers instead of decoding
+/// every payload (root DERs and GCC sources) on every poll.
+struct LoggedDelta {
+    from_sequence: u64,
+    to_sequence: u64,
+    message: SignedMessage,
 }
 
 impl FeedPublisher {
@@ -118,7 +128,11 @@ impl FeedPublisher {
         }
         let signed = self.key.sign(MessageKind::Delta, &delta.encode())?;
         self.translog.append(&signed);
-        self.deltas.push(signed);
+        self.deltas.push(LoggedDelta {
+            from_sequence: delta.from_sequence,
+            to_sequence: delta.to_sequence,
+            message: signed,
+        });
         self.sequence += 1;
         self.published_store = new.clone();
         Ok(true)
@@ -208,10 +222,7 @@ impl FeedPublisher {
     /// Drop deltas at or below the latest snapshot's sequence.
     pub fn prune(&mut self) {
         let base = self.snapshot_sequence;
-        self.deltas.retain(|m| {
-            let delta = Delta::decode(&m.payload).expect("own log is well-formed");
-            delta.to_sequence > base
-        });
+        self.deltas.retain(|d| d.to_sequence > base);
     }
 
     /// What a subscriber at `have_sequence` should fetch: either the
@@ -222,27 +233,22 @@ impl FeedPublisher {
             return Vec::new();
         }
         // Deltas strictly after `have_sequence`, if the log reaches back.
-        let wanted: Vec<&SignedMessage> = self
-            .deltas
-            .iter()
-            .filter(|m| {
-                let d = Delta::decode(&m.payload).expect("own log is well-formed");
-                d.to_sequence > have_sequence
-            })
-            .collect();
-        let contiguous = wanted.first().map(|m| {
-            let d = Delta::decode(&m.payload).expect("own log");
-            d.from_sequence <= have_sequence
-        });
-        if have_sequence > 0 && contiguous == Some(true) {
-            wanted
+        let wanted = self.deltas.iter().filter(|d| d.to_sequence > have_sequence);
+        let contiguous = wanted
+            .clone()
+            .next()
+            .is_some_and(|d| d.from_sequence <= have_sequence);
+        if have_sequence > 0 && contiguous {
+            wanted.map(|d| &d.message).collect()
         } else {
             // Bootstrap or gap: snapshot, then deltas after it.
             let mut out = vec![&self.snapshot];
-            out.extend(self.deltas.iter().filter(|m| {
-                let d = Delta::decode(&m.payload).expect("own log");
-                d.from_sequence >= self.snapshot_sequence
-            }));
+            out.extend(
+                self.deltas
+                    .iter()
+                    .filter(|d| d.from_sequence >= self.snapshot_sequence)
+                    .map(|d| &d.message),
+            );
             out
         }
     }
@@ -503,6 +509,76 @@ mod tests {
             subscriber.store().status(&a.root.fingerprint()),
             TrustStatus::Distrusted
         );
+    }
+
+    /// `fetch` as it was when it decoded every retained payload: the
+    /// reference the sequence-indexed log must reproduce exactly.
+    fn decoding_fetch(publisher: &FeedPublisher, have_sequence: u64) -> Vec<&SignedMessage> {
+        if have_sequence == publisher.sequence {
+            return Vec::new();
+        }
+        let log: Vec<&SignedMessage> = publisher.deltas.iter().map(|d| &d.message).collect();
+        let decode = |m: &SignedMessage| Delta::decode(&m.payload).expect("own log");
+        let wanted: Vec<&SignedMessage> = log
+            .iter()
+            .copied()
+            .filter(|m| decode(m).to_sequence > have_sequence)
+            .collect();
+        let contiguous = wanted
+            .first()
+            .map(|m| decode(m).from_sequence <= have_sequence);
+        if have_sequence > 0 && contiguous == Some(true) {
+            wanted
+        } else {
+            let mut out = vec![&publisher.snapshot];
+            out.extend(
+                log.iter()
+                    .copied()
+                    .filter(|m| decode(m).from_sequence >= publisher.snapshot_sequence),
+            );
+            out
+        }
+    }
+
+    #[test]
+    fn fetch_matches_decoding_reference_across_snapshots_and_prunes() {
+        let a = simple_chain("feed-index-a.example");
+        let b = simple_chain("feed-index-b.example");
+        let mut store = RootStore::new("nss");
+        store.add_trusted(a.root.clone()).unwrap();
+        let (mut publisher, _) = setup(&store);
+        let check = |publisher: &FeedPublisher, step: usize| {
+            for have in 0..=publisher.sequence() {
+                let got = publisher.fetch(have);
+                let want = decoding_fetch(publisher, have);
+                assert_eq!(got.len(), want.len(), "step {step}, have {have}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert!(std::ptr::eq(*g, *w), "step {step}, have {have}");
+                }
+            }
+        };
+        check(&publisher, 0);
+        for step in 1..=14 {
+            if step % 2 == 1 {
+                store.add_trusted(b.root.clone()).unwrap();
+            } else {
+                store.remove(&b.root.fingerprint());
+            }
+            assert!(publisher.publish(&store, step as i64 * 10).unwrap());
+            check(&publisher, step);
+            if step % 4 == 0 {
+                publisher.publish_snapshot(step as i64 * 10 + 1).unwrap();
+                check(&publisher, step);
+            }
+            if step % 6 == 0 {
+                publisher.prune();
+                check(&publisher, step);
+            }
+        }
+        // The schedule above must have left a snapshot ahead of retained
+        // deltas and a pruned prefix, or the gap branch went untested.
+        assert!(publisher.snapshot_sequence > 1);
+        assert!(publisher.deltas[0].from_sequence > 1);
     }
 
     #[test]
